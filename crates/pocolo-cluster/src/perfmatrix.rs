@@ -8,6 +8,8 @@
 //! — so placements favour apps that benefit across the primary's **entire
 //! load spectrum**, not one operating point (the Fig. 4 insight).
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use pocolo_core::error::CoreError;
 use pocolo_core::resources::{Allocation, ResourceDescriptor, ResourceSpace};
 use pocolo_core::units::Watts;
@@ -273,42 +275,11 @@ impl PerfMatrixBuilder {
                 "need at least one app and one server".into(),
             ));
         }
-        if keys.len() != servers.len() {
-            return Err(ClusterError::InvalidMatrix(format!(
-                "{} class keys for {} servers",
-                keys.len(),
-                servers.len()
-            )));
-        }
-        // Each *class*'s expansion path — the min_power_for bisections and
-        // integral demand solves — is BE-independent and shared by every
-        // column with that key, so compute it exactly once (at the key's
-        // first column, in column order) and fan it out.
-        let mut path_index: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut paths: Vec<ExpansionPath> = Vec::new();
-        let mut path_of: Vec<usize> = Vec::with_capacity(servers.len());
-        for (server, &key) in servers.iter().zip(keys) {
-            let idx = match path_index.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = paths.len();
-                    paths.push(ExpansionPath::compute(server, &self.load_levels)?);
-                    path_index.insert(key, idx);
-                    idx
-                }
-            };
-            path_of.push(idx);
-        }
-        let mut values = Vec::with_capacity(be_apps.len());
-        for (_, be) in be_apps {
-            // One estimate per (class, app); columns copy their class value.
-            let mut per_path = Vec::with_capacity(paths.len());
-            for path in &paths {
-                per_path.push(estimate_on_path(be, path)?);
-            }
-            values.push(path_of.iter().map(|&idx| per_path[idx]).collect());
-        }
+        check_keys(keys, servers)?;
+        let (columns, column_of) = self.keyed_columns(be_apps, servers, keys, 0..servers.len())?;
+        let values = (0..be_apps.len())
+            .map(|r| column_of.iter().map(|&idx| columns[idx][r]).collect())
+            .collect();
         PerfMatrix::new(
             be_apps.iter().map(|(l, _)| l.clone()).collect(),
             servers.iter().map(|s| s.label.clone()).collect(),
@@ -327,6 +298,10 @@ impl PerfMatrixBuilder {
     /// skipped: rebuilding must not silently re-admit them. Unchanged
     /// columns produce no edit.
     ///
+    /// Equivalent to [`PerfMatrixBuilder::rebuild_columns_keyed`] with
+    /// every column carrying a distinct key (one expansion path per listed
+    /// column).
+    ///
     /// # Errors
     ///
     /// Rejects shape mismatches between `current`, `be_apps`, and
@@ -338,6 +313,38 @@ impl PerfMatrixBuilder {
         cols: &[usize],
         current: &PerfMatrix,
     ) -> Result<MatrixDelta, ClusterError> {
+        let keys: Vec<usize> = (0..servers.len()).collect();
+        self.rebuild_columns_keyed(be_apps, servers, cols, &keys, current)
+    }
+
+    /// [`PerfMatrixBuilder::rebuild_columns`] through the class-keyed
+    /// cache of [`PerfMatrixBuilder::build_keyed`]: the first enabled
+    /// listed column of each key computes the key's expansion path and
+    /// column once; later listed columns with that key copy it
+    /// bit-for-bit. A fleet-wide cap change over `cols` then costs
+    /// O(distinct keys × levels) inversions, not O(columns × levels).
+    ///
+    /// Keys carry the same contract as in `build_keyed`: equal keys assert
+    /// interchangeable [`ServerProfile`]s *in `servers`*. A uniform cap
+    /// factor preserves that; a change to one column's profile (a model
+    /// refit) does not, and that column needs a key of its own, which is
+    /// why [`ClusterManager::replan_after_refit`] re-keys the refitted
+    /// column. Disabled columns are skipped and never seed a key.
+    ///
+    /// [`ClusterManager::replan_after_refit`]: crate::ClusterManager::replan_after_refit
+    ///
+    /// # Errors
+    ///
+    /// As [`PerfMatrixBuilder::rebuild_columns`], and rejects a key list
+    /// whose length differs from `servers`.
+    pub fn rebuild_columns_keyed(
+        &self,
+        be_apps: &[(String, IndirectUtility)],
+        servers: &[ServerProfile],
+        cols: &[usize],
+        keys: &[usize],
+        current: &PerfMatrix,
+    ) -> Result<MatrixDelta, ClusterError> {
         if servers.len() != current.cols() || be_apps.len() != current.rows() {
             return Err(ClusterError::InvalidMatrix(format!(
                 "rebuild over {}x{} inputs against a {}x{} matrix",
@@ -347,27 +354,75 @@ impl PerfMatrixBuilder {
                 current.cols()
             )));
         }
+        check_keys(keys, servers)?;
+        if let Some(&col) = cols.iter().find(|&&col| col >= current.cols()) {
+            return Err(ClusterError::InvalidMatrix(format!(
+                "rebuild column {col} out of range ({} cols)",
+                current.cols()
+            )));
+        }
+        let live: Vec<usize> = cols
+            .iter()
+            .copied()
+            .filter(|&col| !current.is_col_disabled(col))
+            .collect();
+        let (columns, column_of) =
+            self.keyed_columns(be_apps, servers, keys, live.iter().copied())?;
         let mut delta = MatrixDelta::new();
-        for &col in cols {
-            if col >= current.cols() {
-                return Err(ClusterError::InvalidMatrix(format!(
-                    "rebuild column {col} out of range ({} cols)",
-                    current.cols()
-                )));
-            }
-            if current.is_col_disabled(col) {
-                continue;
-            }
-            let path = ExpansionPath::compute(&servers[col], &self.load_levels)?;
-            let mut column = Vec::with_capacity(be_apps.len());
-            for (_, be) in be_apps {
-                column.push(estimate_on_path(be, &path)?);
-            }
-            if current.col_iter(col).zip(&column).any(|(a, &b)| a != b) {
-                delta = delta.set_column(col, column);
+        for (&col, &idx) in live.iter().zip(&column_of) {
+            let column = &columns[idx];
+            if current.col_iter(col).zip(column).any(|(a, &b)| a != b) {
+                delta = delta.set_column(col, column.clone());
             }
         }
         Ok(delta)
+    }
+
+    /// The key → expansion path → column cache behind the keyed builds.
+    /// Walks `cols` in order; the first column holding a key computes the
+    /// key's expansion path (the BE-independent `min_power_for`
+    /// bisections and integral demand solves) and its column of
+    /// estimates, one per BE row. Returns those columns and, per listed
+    /// column, the index of its key's column.
+    fn keyed_columns(
+        &self,
+        be_apps: &[(String, IndirectUtility)],
+        servers: &[ServerProfile],
+        keys: &[usize],
+        cols: impl IntoIterator<Item = usize>,
+    ) -> Result<(Vec<Vec<f64>>, Vec<usize>), ClusterError> {
+        let mut column_index: HashMap<usize, usize> = HashMap::new();
+        let mut columns: Vec<Vec<f64>> = Vec::new();
+        let mut column_of = Vec::new();
+        for col in cols {
+            let idx = match column_index.entry(keys[col]) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let path = ExpansionPath::compute(&servers[col], &self.load_levels)?;
+                    let column = be_apps
+                        .iter()
+                        .map(|(_, be)| estimate_on_path(be, &path))
+                        .collect::<Result<Vec<f64>, _>>()?;
+                    columns.push(column);
+                    *e.insert(columns.len() - 1)
+                }
+            };
+            column_of.push(idx);
+        }
+        Ok((columns, column_of))
+    }
+}
+
+/// Rejects a key list that doesn't hold one key per server.
+fn check_keys(keys: &[usize], servers: &[ServerProfile]) -> Result<(), ClusterError> {
+    if keys.len() == servers.len() {
+        Ok(())
+    } else {
+        Err(ClusterError::InvalidMatrix(format!(
+            "{} class keys for {} servers",
+            keys.len(),
+            servers.len()
+        )))
     }
 }
 
@@ -546,6 +601,65 @@ mod tests {
                 assert_eq!(keyed.value(r, c).to_bits(), keyed.value(r, c + 4).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn keyed_rebuild_equals_the_unkeyed_rebuild() {
+        use pocolo_core::utility::min_power_solves_on_thread;
+        let (bes, servers) = fitted_cluster();
+        let builder = PerfMatrixBuilder::new();
+        let doubled: Vec<ServerProfile> = servers.iter().chain(servers.iter()).cloned().collect();
+        let keys = [0usize, 1, 2, 3, 0, 1, 2, 3];
+        let m = builder.build_keyed(&bes, &doubled, &keys).unwrap();
+        // A uniform brownout keeps same-key columns interchangeable.
+        let derated: Vec<ServerProfile> = doubled
+            .iter()
+            .map(|s| ServerProfile {
+                power_cap: s.power_cap * 0.7,
+                ..s.clone()
+            })
+            .collect();
+        let levels = builder.load_levels().len() as u64;
+        // Keyed solves: one expansion path per distinct enabled key
+        // among `cols`; the delta matches the per-column rebuild.
+        let check = |current: &PerfMatrix, cols: &[usize], distinct_keys: u64| {
+            let before = min_power_solves_on_thread();
+            let keyed = builder
+                .rebuild_columns_keyed(&bes, &derated, cols, &keys, current)
+                .unwrap();
+            assert_eq!(
+                min_power_solves_on_thread() - before,
+                distinct_keys * levels
+            );
+            let dense = builder
+                .rebuild_columns(&bes, &derated, cols, current)
+                .unwrap();
+            assert_eq!(keyed, dense, "cols {cols:?}");
+            keyed
+        };
+        let all: Vec<usize> = (0..8).collect();
+        let delta = check(&m, &all, 4);
+        assert_eq!(delta.dirty_cols().count(), 8);
+        assert_eq!(
+            m.patched(&delta).unwrap(),
+            builder.build(&bes, &derated).unwrap()
+        );
+        // A subset pays only for the keys it names.
+        check(&m, &[5, 2, 6], 2);
+        check(&m, &[6, 2], 1);
+        // A disabled first column of a key: the next enabled one seeds it.
+        let faulted = m.patched(&MatrixDelta::new().disable_column(1)).unwrap();
+        let delta = check(&faulted, &all, 4);
+        assert!(!delta.dirty_cols().any(|c| c == 1));
+        // With both columns of key 1 disabled, that key is never computed.
+        let both = faulted
+            .patched(&MatrixDelta::new().disable_column(5))
+            .unwrap();
+        check(&both, &all, 3);
+        // Key lists must cover every server.
+        assert!(builder
+            .rebuild_columns_keyed(&bes, &derated, &all, &keys[..4], &m)
+            .is_err());
     }
 
     #[test]

@@ -30,6 +30,17 @@ pub fn migration_diff(old: &Assignment, new: &Assignment) -> Vec<(usize, usize)>
     out
 }
 
+/// The smallest key not in `keys`.
+fn unused_key(keys: &[usize]) -> usize {
+    let mut used = keys.to_vec();
+    used.sort_unstable();
+    used.dedup();
+    used.iter()
+        .enumerate()
+        .find(|&(i, &k)| i != k)
+        .map_or(used.len(), |(i, _)| i)
+}
+
 /// A solved sparse placement plus everything needed to repair it
 /// incrementally: the matrix it was solved on, the candidate lists, and
 /// the auction's dual prices. Produced by [`ClusterManager::plan_sparse`];
@@ -161,7 +172,15 @@ impl ClusterManager {
     /// Sets expansion-path cache keys (one per server column): columns
     /// sharing a key are interchangeable profiles — the same (SKU,
     /// primary-app) class — and share one expansion path and one estimate
-    /// per BE row ([`PerfMatrixBuilder::build_keyed`]).
+    /// per BE row, both in full builds ([`PerfMatrixBuilder::build_keyed`])
+    /// and in brownout column rebuilds
+    /// ([`PerfMatrixBuilder::rebuild_columns_keyed`]).
+    ///
+    /// The keys must be honest: equal keys assert interchangeable
+    /// profiles, and the builders copy one column's values to its key
+    /// peers without checking. [`ClusterManager::replan_after_refit`]
+    /// keeps them honest by moving the refitted column to a key no other
+    /// column holds.
     ///
     /// # Panics
     ///
@@ -237,6 +256,43 @@ impl ClusterManager {
         }
     }
 
+    /// The server profiles with each cap scaled by `factor(column)`.
+    fn scaled_servers(&self, factor: impl Fn(usize) -> f64) -> Vec<ServerProfile> {
+        self.servers
+            .iter()
+            .enumerate()
+            .map(|(j, s)| ServerProfile {
+                power_cap: s.power_cap * factor(j),
+                ..s.clone()
+            })
+            .collect()
+    }
+
+    /// Re-estimates `cols` of `current` against `servers` — through the
+    /// keyed cache when configured — and re-masks the result: column
+    /// rebuilds re-estimate raw values, and forbidden entries must stay
+    /// masked so a replan can't un-hide them.
+    fn rebuild_delta(
+        &self,
+        servers: &[ServerProfile],
+        cols: &[usize],
+        current: &PerfMatrix,
+    ) -> Result<MatrixDelta, ClusterError> {
+        let delta = match &self.profile_keys {
+            Some(keys) => {
+                self.builder
+                    .rebuild_columns_keyed(&self.be_apps, servers, cols, keys, current)?
+            }
+            None => self
+                .builder
+                .rebuild_columns(&self.be_apps, servers, cols, current)?,
+        };
+        Ok(match &self.classes {
+            Some(classes) => self.constraints.mask_delta(delta, classes),
+            None => delta,
+        })
+    }
+
     /// The best-effort candidates (label, fitted utility).
     pub fn be_apps(&self) -> &[(String, IndirectUtility)] {
         &self.be_apps
@@ -304,16 +360,7 @@ impl ClusterManager {
             hysteresis >= 0.0 && hysteresis.is_finite(),
             "hysteresis must be non-negative, got {hysteresis}"
         );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
+        let shrunk = self.scaled_servers(|_| cap_factor);
         // A uniform factor keeps same-key profiles interchangeable, so
         // the keyed cache stays valid.
         let matrix = self.matrix_for(&shrunk, self.profile_keys.as_deref())?;
@@ -361,17 +408,7 @@ impl ClusterManager {
             hysteresis >= 0.0 && hysteresis.is_finite(),
             "hysteresis must be non-negative, got {hysteresis}"
         );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .zip(cap_factors)
-            .map(|(s, &f)| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * f,
-                peak_load: s.peak_load,
-            })
-            .collect();
+        let shrunk = self.scaled_servers(|j| cap_factors[j]);
         // Per-server factors can split a cache class: two columns that
         // shared a key stay interchangeable only if they also share a
         // factor, so re-key on (base key, factor bits).
@@ -501,8 +538,10 @@ impl ClusterManager {
     }
 
     /// Incremental counterpart of [`ClusterManager::replan_under_budget`]:
-    /// re-estimates only the columns the cap change actually dirties
-    /// (via [`PerfMatrixBuilder::rebuild_columns`]) and repairs the plan's
+    /// re-estimates the columns under the new cap — one expansion path
+    /// per profile key when keys are set
+    /// ([`PerfMatrixBuilder::rebuild_columns_keyed`]), else one per column
+    /// ([`PerfMatrixBuilder::rebuild_columns`]) — and repairs the plan's
     /// assignment from its previous prices. The same hysteresis rule
     /// applies: if the repaired placement does not beat the incumbent by
     /// more than `hysteresis` on the patched matrix, the incumbent pairs
@@ -530,25 +569,11 @@ impl ClusterManager {
             hysteresis >= 0.0 && hysteresis.is_finite(),
             "hysteresis must be non-negative, got {hysteresis}"
         );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
+        // A uniform factor keeps same-key profiles interchangeable, so
+        // the rebuild re-estimates one column per key.
+        let shrunk = self.scaled_servers(|_| cap_factor);
         let all_cols: Vec<usize> = (0..plan.matrix.cols()).collect();
-        let mut delta =
-            self.builder
-                .rebuild_columns(&self.be_apps, &shrunk, &all_cols, &plan.matrix)?;
-        if let Some(classes) = &self.classes {
-            // Column rebuilds re-estimate raw values; keep forbidden
-            // entries masked so a replan can't un-hide them.
-            delta = self.constraints.mask_delta(delta, classes);
-        }
+        let delta = self.rebuild_delta(&shrunk, &all_cols, &plan.matrix)?;
         let incumbent = plan.solution.assignment.clone();
         let intents = plan.apply_delta(&delta)?;
         let incumbent_total = plan.matrix.assignment_value(&incumbent.pairs);
@@ -569,6 +594,10 @@ impl ClusterManager {
     /// that column — is re-estimated under the current power budget
     /// (`cap_factor` of each server's provisioned cap, `1.0` outside a
     /// brownout) and the assignment is repaired from its previous prices.
+    ///
+    /// On a keyed manager the column moves to a profile key no other
+    /// column holds, since its new model no longer matches its former key
+    /// peers.
     ///
     /// Returns the migration intents the repair produced (often empty:
     /// a refit that confirms the incumbent moves nothing).
@@ -600,22 +629,11 @@ impl ClusterManager {
             "cap factor must be in (0, 1], got {cap_factor}"
         );
         self.servers[col].utility = utility;
-        let scaled: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
-        let mut delta =
-            self.builder
-                .rebuild_columns(&self.be_apps, &scaled, &[col], &plan.matrix)?;
-        if let Some(classes) = &self.classes {
-            delta = self.constraints.mask_delta(delta, classes);
+        if let Some(keys) = &mut self.profile_keys {
+            keys[col] = unused_key(keys);
         }
+        let scaled = self.scaled_servers(|_| cap_factor);
+        let delta = self.rebuild_delta(&scaled, &[col], &plan.matrix)?;
         plan.apply_delta(&delta)
     }
 }
@@ -940,6 +958,88 @@ mod tests {
         let b = keyed_mgr.place(Solver::Hungarian).unwrap();
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.total.to_bits(), b.total.to_bits());
+    }
+
+    /// The 4×4 manager's fleet twice over: columns `c` and `c + 4` are
+    /// interchangeable. Returns it unkeyed and keyed `c % 4`.
+    fn doubled_managers() -> (ClusterManager, ClusterManager) {
+        let mgr = manager();
+        let servers: Vec<ServerProfile> =
+            mgr.servers().iter().chain(mgr.servers()).cloned().collect();
+        let unkeyed = ClusterManager::new(mgr.be_apps().to_vec(), servers);
+        let keyed = unkeyed
+            .clone()
+            .with_profile_keys((0..8).map(|c| c % 4).collect());
+        (unkeyed, keyed)
+    }
+
+    #[test]
+    fn refit_rekeys_the_column_so_keyed_matrices_stay_exact() {
+        let (mut unkeyed, mut keyed) = doubled_managers();
+        assert_eq!(
+            keyed.performance_matrix().unwrap(),
+            unkeyed.performance_matrix().unwrap()
+        );
+        let mut plan_u = unkeyed.plan_sparse(1e-3).unwrap();
+        let mut plan_k = keyed.plan_sparse(1e-3).unwrap();
+        // Refit the second column of key 0, then the first column of
+        // key 1: neither may leak into or borrow from its former peer.
+        for (col, model) in [(4, 2), (1, 3)] {
+            let u = keyed.servers()[model].utility.clone();
+            unkeyed
+                .replan_after_refit(&mut plan_u, col, u.clone(), 1.0)
+                .unwrap();
+            keyed.replan_after_refit(&mut plan_k, col, u, 1.0).unwrap();
+            assert_eq!(
+                keyed.performance_matrix().unwrap(),
+                unkeyed.performance_matrix().unwrap(),
+                "after refitting column {col}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_brownout_refit_lift_matches_the_unkeyed_manager() {
+        let (mut unkeyed, mut keyed) = doubled_managers();
+        let mut plan_u = unkeyed.plan_sparse(1e-3).unwrap();
+        let mut plan_k = keyed.plan_sparse(1e-3).unwrap();
+        let same = |plan_u: &PlacementPlan, plan_k: &PlacementPlan| {
+            let (u, k) = (plan_u.assignment(), plan_k.assignment());
+            assert_eq!(u.pairs, k.pairs);
+            assert_eq!(u.total.to_bits(), k.total.to_bits());
+            assert_eq!(plan_u.solution().stats, plan_k.solution().stats);
+            assert_eq!(plan_u.matrix(), plan_k.matrix());
+        };
+        same(&plan_u, &plan_k);
+        let brownout = |mgr: &ClusterManager, plan: &mut PlacementPlan| {
+            mgr.replan_under_budget_incremental(plan, 0.7, 0.0).unwrap()
+        };
+        assert_eq!(
+            brownout(&unkeyed, &mut plan_u),
+            brownout(&keyed, &mut plan_k)
+        );
+        same(&plan_u, &plan_k);
+        let refit = keyed.servers()[2].utility.clone();
+        let intents_u = unkeyed
+            .replan_after_refit(&mut plan_u, 5, refit.clone(), 0.7)
+            .unwrap();
+        let intents_k = keyed
+            .replan_after_refit(&mut plan_k, 5, refit, 0.7)
+            .unwrap();
+        assert_eq!(intents_u, intents_k);
+        same(&plan_u, &plan_k);
+        let lift = |mgr: &ClusterManager, plan: &mut PlacementPlan| {
+            mgr.replan_under_budget_incremental(plan, 1.0, 0.0).unwrap()
+        };
+        assert_eq!(lift(&unkeyed, &mut plan_u), lift(&keyed, &mut plan_k));
+        same(&plan_u, &plan_k);
+    }
+
+    #[test]
+    fn unused_key_fills_the_first_gap() {
+        assert_eq!(unused_key(&[]), 0);
+        assert_eq!(unused_key(&[1, 0, 1, 2]), 3);
+        assert_eq!(unused_key(&[3, 0, 0, 2]), 1);
     }
 
     #[test]

@@ -245,6 +245,8 @@ impl ReactorServer {
 
     /// Connections currently registered with the loop. The churn soak
     /// test uses this to assert closed connections are actually released.
+    /// A closed connection leaves the count after its
+    /// [`EventHandler::on_disconnect`] hook has returned.
     pub fn open_connections(&self) -> usize {
         self.shared.open_conns.load(Ordering::SeqCst)
     }
@@ -557,13 +559,15 @@ impl<H: EventHandler> LoopState<H> {
         if let Some(conn) = self.conns[idx].take() {
             let _ = self.poll.deregister(&conn.stream, Token(idx + CONN_BASE));
             self.free.push(idx);
-            self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             drop(conn);
             let mut ctx = Ctx {
                 wheel: &mut self.wheel,
                 now: Instant::now(),
             };
             self.handler.on_disconnect(&mut ctx, idx, reason);
+            // Released only once the hook has run, so a caller that sees
+            // the count drop also sees the hook's effects.
+            self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             if self.stopping == Some(idx) {
                 // The drain target died; nothing left to wait for.
                 self.shared.stop.store(true, Ordering::SeqCst);
