@@ -11,27 +11,20 @@
 //! the in-process resilience layer takes when telemetry cannot be
 //! trusted.
 //!
-//! Two transport backends share the registry and produce bit-identical
-//! wire behaviour:
+//! The transport is one event loop that multiplexes every connection
+//! ([`crate::reactor`]). Lease expiry rides the loop's timer wheel (one
+//! lazy re-check chain per live lease, no scanning reaper thread),
+//! telemetry acks for the current `cap_factor` are encoded once and
+//! fanned out as cached bytes, the welcome frame splices a cached
+//! run-spec serialization instead of re-encoding ~100 KiB per
+//! registration, and a slot whose connection is dropped for slow
+//! consumption is degraded on the spot.
 //!
-//! - [`NetBackend::Reactor`] (default): one event loop multiplexes every
-//!   connection ([`crate::reactor`]). Lease expiry rides the loop's
-//!   timer wheel (one lazy re-check chain per live lease, no scanning
-//!   reaper thread), telemetry acks for the current `cap_factor` are
-//!   encoded once and fanned out as cached bytes, the welcome frame
-//!   splices a cached run-spec serialization instead of re-encoding
-//!   ~100 KiB per registration, and a slot whose connection is dropped
-//!   for slow consumption is degraded on the spot.
-//! - [`NetBackend::Threads`]: the original thread-per-connection server
-//!   plus a sleeping reaper thread. Kept as the baseline the
-//!   `net_scale` bench compares against.
-//!
-//! Completion is edge-triggered either way: [`Clusterd::wait_done`]
-//! blocks on a condvar the final `Complete` notifies — no sleep-polling.
+//! Completion is edge-triggered: [`Clusterd::wait_done`] blocks on a
+//! condvar the final `Complete` notifies — no sleep-polling.
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,7 +36,6 @@ use crate::frame::encode_frame_str;
 use crate::reactor::{
     ConnId, Ctx, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply,
 };
-use crate::server::{Handler, Server};
 use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
 
 /// Lease/registry state of one server slot.
@@ -204,11 +196,19 @@ impl Registry {
     }
 
     /// Records final metrics; returns true when every slot is now done.
+    /// A slot nobody registered cannot complete: accepting it would let
+    /// any peer fabricate that slot's metrics and lock its real agent
+    /// out. The slot stays vacant.
     fn complete(&mut self, server: usize, metrics: ServerMetrics) -> Result<bool, NetError> {
         let slot = self
             .slots
             .get_mut(server)
             .ok_or_else(|| NetError::Protocol(format!("no slot {server}")))?;
+        if matches!(slot.state, SlotState::Vacant) {
+            return Err(NetError::Protocol(format!(
+                "slot {server} was never registered"
+            )));
+        }
         if !matches!(slot.state, SlotState::Done) {
             self.done_count += 1;
         }
@@ -223,25 +223,6 @@ impl Registry {
         self.vacant.remove(&server);
         self.degraded.remove(&server);
         Ok(self.done_count == self.slots.len())
-    }
-
-    /// Expires live leases older than `ttl` (full scan — the threads
-    /// backend's reaper cadence; the reactor uses [`Registry::check_lease`]
-    /// per slot instead).
-    fn reap(&mut self, ttl: Duration) {
-        let now = Instant::now();
-        let expired: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                matches!(s.state, SlotState::Live { .. }) && now.duration_since(s.last_seen) > ttl
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for idx in expired {
-            self.degrade(idx);
-        }
     }
 
     /// One lazy lease check for the reactor's timer wheel: degrade when
@@ -266,7 +247,7 @@ impl Registry {
 }
 
 /// Registry plus the completion signal: `Complete` handlers notify,
-/// [`Clusterd::wait_done`] blocks — no polling on either backend.
+/// [`Clusterd::wait_done`] blocks — no polling.
 #[derive(Debug)]
 struct RegistryShared {
     inner: Mutex<Registry>,
@@ -294,39 +275,15 @@ impl RegistryShared {
     }
 }
 
-/// Which transport serves the cluster daemon.
+/// The cluster daemon's transport. The reactor is the only one; the
+/// enum survives only so existing callers that set
+/// [`ClusterConfig::backend`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetBackend {
-    /// Readiness-polling event loop (default): one thread, any number of
+    /// Readiness-polling event loop: one thread, any number of
     /// connections, timer-wheel leases, write backpressure.
     #[default]
     Reactor,
-    /// Thread-per-connection `std::net` serving with a sleeping reaper
-    /// thread. The pre-reactor baseline, kept for benchmarking.
-    Threads,
-}
-
-impl std::fmt::Display for NetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetBackend::Reactor => f.write_str("reactor"),
-            NetBackend::Threads => f.write_str("threads"),
-        }
-    }
-}
-
-impl std::str::FromStr for NetBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<NetBackend, String> {
-        match s {
-            "reactor" => Ok(NetBackend::Reactor),
-            "threads" => Ok(NetBackend::Threads),
-            other => Err(format!(
-                "unknown net backend {other:?} (expected reactor or threads)"
-            )),
-        }
-    }
 }
 
 /// Cluster daemon configuration.
@@ -338,15 +295,16 @@ pub struct ClusterConfig {
     pub lease_ttl: Duration,
     /// The run pushed to every registering agent.
     pub run: RunSpec,
-    /// Transport backend.
+    /// Unused: the daemon always serves on the reactor. Kept so callers
+    /// that set it keep compiling; nothing reads it.
     pub backend: NetBackend,
-    /// Per-connection outbound queue cap (reactor backend): a peer that
-    /// stops draining replies is disconnected and its slot degraded.
+    /// Per-connection outbound queue cap: a peer that stops draining
+    /// replies is disconnected and its slot degraded.
     pub outbound_hiwater: usize,
 }
 
 impl ClusterConfig {
-    /// A daemon on the default (reactor) backend.
+    /// A daemon with a 1 MiB outbound queue cap per connection.
     pub fn new(listen: SocketAddr, lease_ttl: Duration, run: RunSpec) -> ClusterConfig {
         ClusterConfig {
             listen,
@@ -361,21 +319,9 @@ impl ClusterConfig {
 /// A running cluster daemon.
 #[derive(Debug)]
 pub struct Clusterd {
-    backend: BackendImpl,
+    server: ReactorServer,
     registry: Arc<RegistryShared>,
     run: RunSpec,
-}
-
-#[derive(Debug)]
-enum BackendImpl {
-    Reactor {
-        server: ReactorServer,
-    },
-    Threads {
-        server: Server,
-        reaper_stop: Arc<AtomicBool>,
-        reaper: Option<std::thread::JoinHandle<()>>,
-    },
 }
 
 /// Pre-serialized welcome frames: the run spec dominates the payload
@@ -534,108 +480,21 @@ impl EventHandler for ReactorClusterHandler {
     }
 }
 
-/// The blocking-backend request handler (thread-per-connection).
-struct ThreadsClusterHandler {
-    registry: Arc<RegistryShared>,
-    run: RunSpec,
-}
-
-impl Handler for ThreadsClusterHandler {
-    fn handle(&self, request: Message) -> Result<Message, NetError> {
-        match request {
-            Message::Register { agent, class } => {
-                let (server, degraded) = self
-                    .registry
-                    .lock()
-                    .assign(&agent, class.as_deref())
-                    .ok_or_else(|| NetError::Protocol("no free slot to assign".into()))?;
-                Ok(Message::Welcome {
-                    server,
-                    degraded,
-                    run: Box::new(self.run.clone()),
-                })
-            }
-            Message::Telemetry { server, .. } => {
-                let mut reg = self.registry.lock();
-                reg.renew(server)?;
-                Ok(Message::TelemetryAck {
-                    cap_factor: reg.cap_factor,
-                })
-            }
-            Message::Complete { server, metrics } => {
-                self.registry.complete(server, *metrics)?;
-                Ok(Message::CompleteAck)
-            }
-            Message::Status => {
-                let reg = self.registry.lock();
-                Ok(Message::StatusReport {
-                    expected: reg.slots.len(),
-                    live: reg.count(|s| matches!(s, SlotState::Live { .. })),
-                    degraded: reg.count(|s| matches!(s, SlotState::Degraded { .. })),
-                    done: reg.count(|s| matches!(s, SlotState::Done)),
-                })
-            }
-            Message::Shutdown => Ok(Message::ShutdownAck),
-            other => Err(NetError::Protocol(format!(
-                "cluster daemon cannot handle {:?} requests",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
 impl Clusterd {
-    /// Binds and starts serving on the configured backend.
+    /// Binds and starts serving on the reactor.
     pub fn spawn(config: ClusterConfig) -> Result<Clusterd, NetError> {
         let registry = Arc::new(RegistryShared::new(config.run.n_servers()));
-        let backend = match config.backend {
-            NetBackend::Reactor => {
-                let mut reactor_config = ReactorConfig::new(config.listen);
-                reactor_config.outbound_hiwater = config.outbound_hiwater;
-                // Wheel resolution: fine enough that lease expiry lands
-                // within a small fraction of the TTL, coarse enough that
-                // an idle daemon barely wakes.
-                reactor_config.wheel_tick = (config.lease_ttl / 8)
-                    .clamp(Duration::from_millis(1), Duration::from_millis(25));
-                let handler = ReactorClusterHandler::new(
-                    Arc::clone(&registry),
-                    &config.run,
-                    config.lease_ttl,
-                );
-                BackendImpl::Reactor {
-                    server: ReactorServer::spawn(reactor_config, handler)?,
-                }
-            }
-            NetBackend::Threads => {
-                let handler: Arc<dyn Handler> = Arc::new(ThreadsClusterHandler {
-                    registry: Arc::clone(&registry),
-                    run: config.run.clone(),
-                });
-                let server = Server::spawn(config.listen, handler)?;
-                let reaper_stop = Arc::new(AtomicBool::new(false));
-                let reaper = {
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&reaper_stop);
-                    let ttl = config.lease_ttl;
-                    // Check a few times per TTL so expiry latency stays a
-                    // small fraction of the lease itself.
-                    let tick = ttl.checked_div(4).unwrap_or(Duration::from_millis(25));
-                    std::thread::spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(tick);
-                            registry.lock().reap(ttl);
-                        }
-                    })
-                };
-                BackendImpl::Threads {
-                    server,
-                    reaper_stop,
-                    reaper: Some(reaper),
-                }
-            }
-        };
+        let mut reactor_config = ReactorConfig::new(config.listen);
+        reactor_config.outbound_hiwater = config.outbound_hiwater;
+        // Wheel resolution: fine enough that lease expiry lands within a
+        // small fraction of the TTL, coarse enough that an idle daemon
+        // barely wakes.
+        reactor_config.wheel_tick =
+            (config.lease_ttl / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
+        let handler =
+            ReactorClusterHandler::new(Arc::clone(&registry), &config.run, config.lease_ttl);
         Ok(Clusterd {
-            backend,
+            server: ReactorServer::spawn(reactor_config, handler)?,
             registry,
             run: config.run,
         })
@@ -643,28 +502,14 @@ impl Clusterd {
 
     /// The daemon's bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.backend {
-            BackendImpl::Reactor { server } => server.local_addr(),
-            BackendImpl::Threads { server, .. } => server.local_addr(),
-        }
+        self.server.local_addr()
     }
 
-    /// Which backend is serving.
-    pub fn backend(&self) -> NetBackend {
-        match &self.backend {
-            BackendImpl::Reactor { .. } => NetBackend::Reactor,
-            BackendImpl::Threads { .. } => NetBackend::Threads,
-        }
-    }
-
-    /// Connections currently registered with the reactor loop (`None` on
-    /// the threads backend, which does not track them). The churn soak
-    /// test uses this to assert closed connections are actually released.
-    pub fn open_connections(&self) -> Option<usize> {
-        match &self.backend {
-            BackendImpl::Reactor { server } => Some(server.open_connections()),
-            BackendImpl::Threads { .. } => None,
-        }
+    /// Connections currently registered with the event loop. The churn
+    /// soak and hostile-peer tests use this to assert closed connections
+    /// are actually released.
+    pub fn open_connections(&self) -> usize {
+        self.server.open_connections()
     }
 
     /// Sets the live budget directive broadcast on telemetry acks.
@@ -755,28 +600,9 @@ impl Clusterd {
         self.run.policy
     }
 
-    /// Stops the transport (and the reaper thread on the threads backend).
+    /// Stops the event loop (dropping the daemon does the same).
     pub fn shutdown(&mut self) {
-        match &mut self.backend {
-            BackendImpl::Reactor { server } => server.shutdown(),
-            BackendImpl::Threads {
-                server,
-                reaper_stop,
-                reaper,
-            } => {
-                reaper_stop.store(true, Ordering::SeqCst);
-                if let Some(t) = reaper.take() {
-                    let _ = t.join();
-                }
-                server.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for Clusterd {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.shutdown();
     }
 }
 
@@ -817,8 +643,12 @@ mod tests {
     fn lease_expiry_flips_live_to_degraded_and_hands_the_slot_on() {
         let mut reg = registry4();
         reg.assign("a", None);
-        reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
-        reg.reap(Duration::from_millis(50));
+        let now = Instant::now();
+        reg.slots[0].last_seen = now - Duration::from_secs(60);
+        assert!(matches!(
+            reg.check_lease(0, Duration::from_millis(50), now),
+            LeaseCheck::Expired
+        ));
         assert!(matches!(
             reg.slots[0].state,
             SlotState::Degraded { agent: Some(ref a) } if a == "a"
@@ -840,7 +670,12 @@ mod tests {
         reg.assign("a", None);
         reg.slots[0].last_seen = Instant::now() - Duration::from_millis(40);
         reg.renew(0).unwrap();
-        reg.reap(Duration::from_millis(50));
+        // Checked 20 ms later: expired without the renew, current with it.
+        let later = Instant::now() + Duration::from_millis(20);
+        assert!(matches!(
+            reg.check_lease(0, Duration::from_millis(50), later),
+            LeaseCheck::RecheckIn(_)
+        ));
         assert!(matches!(reg.slots[0].state, SlotState::Live { .. }));
         assert!(reg.renew(9).is_err(), "unknown slot is a typed error");
     }
@@ -851,8 +686,12 @@ mod tests {
         reg.assign("a", None);
         reg.complete(0, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
-        reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
-        reg.reap(Duration::from_millis(1));
+        let now = Instant::now();
+        reg.slots[0].last_seen = now - Duration::from_secs(60);
+        assert!(matches!(
+            reg.check_lease(0, Duration::from_millis(1), now),
+            LeaseCheck::Settled
+        ));
         assert!(matches!(reg.slots[0].state, SlotState::Done));
         reg.assign("b", None);
         reg.assign("c", None);
@@ -869,6 +708,25 @@ mod tests {
         // "a" finished slot 0; a new registration under the same identity
         // is a new arrival, not a reclaim of the done slot.
         assert_eq!(reg.assign("a", None), Some((1, false)));
+    }
+
+    #[test]
+    fn complete_for_a_never_registered_slot_is_rejected() {
+        let mut reg = Registry::new(2);
+        let metrics = || ServerMetrics::new(pocolo_core::Watts(100.0));
+        let err = reg.complete(1, metrics()).unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "got {err}");
+        assert_eq!(reg.slots[1].state, SlotState::Vacant);
+        assert!(reg.slots[1].metrics.is_none());
+        assert_eq!(reg.done_count, 0);
+        // The real agents still find both slots free.
+        assert_eq!(reg.assign("a", None), Some((0, false)));
+        assert_eq!(reg.assign("b", None), Some((1, false)));
+        // Live slots, and degraded ones whose lease-expired agent still
+        // finishes, complete as before.
+        reg.degrade(1);
+        reg.complete(0, metrics()).unwrap();
+        assert!(reg.complete(1, metrics()).unwrap(), "all slots done");
     }
 
     #[test]
@@ -898,10 +756,19 @@ mod tests {
             reg.assign(&format!("agent-{i}"), None);
         }
         // Expire half the fleet, complete a quarter, rejoin the rest.
+        let now = Instant::now();
+        let ttl = Duration::from_secs(1);
         for i in [0usize, 2, 4, 6] {
-            reg.slots[i].last_seen = Instant::now() - Duration::from_secs(60);
+            reg.slots[i].last_seen = now - Duration::from_secs(60);
         }
-        reg.reap(Duration::from_millis(1));
+        for i in 0..8 {
+            let check = reg.check_lease(i, ttl, now);
+            if i % 2 == 0 {
+                assert!(matches!(check, LeaseCheck::Expired), "slot {i}");
+            } else {
+                assert!(matches!(check, LeaseCheck::RecheckIn(_)), "slot {i}");
+            }
+        }
         assert_eq!(reg.degraded.len(), 4);
         reg.complete(1, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
@@ -959,14 +826,5 @@ mod tests {
                 "splice diverged at server={server} degraded={degraded}"
             );
         }
-    }
-
-    #[test]
-    fn net_backend_parses_and_displays() {
-        assert_eq!("reactor".parse::<NetBackend>(), Ok(NetBackend::Reactor));
-        assert_eq!("threads".parse::<NetBackend>(), Ok(NetBackend::Threads));
-        assert!("epoll".parse::<NetBackend>().is_err());
-        assert_eq!(NetBackend::Reactor.to_string(), "reactor");
-        assert_eq!(NetBackend::default(), NetBackend::Reactor);
     }
 }

@@ -7,12 +7,11 @@
 //! would — a property the proptests in this module pin under 1-byte and
 //! random-split fragmentation.
 //!
-//! Error taxonomy matches the blocking server's observable behaviour:
-//! a frame whose *payload* is bad (non-UTF-8, malformed JSON) is
-//! [`Decoded::Corrupt`] — framing is intact, the connection can answer
-//! with a typed error and continue; a bad *length prefix* (over the
-//! [`MAX_FRAME_BYTES`] cap) is a hard [`NetError`] — byte sync is gone
-//! and the connection must die.
+//! Error taxonomy: a frame whose *payload* is bad (non-UTF-8, malformed
+//! JSON) is [`Decoded::Corrupt`] — framing is intact, the connection can
+//! answer with a typed error and continue; a bad *length prefix* (over
+//! the [`MAX_FRAME_BYTES`] cap) is a hard [`NetError`] — byte sync is
+//! gone and the connection must die.
 
 use std::io::{self, Read};
 

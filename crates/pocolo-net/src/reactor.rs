@@ -1,8 +1,7 @@
 //! The readiness-polling reactor: one event loop, many connections.
 //!
-//! Replaces thread-per-connection serving for the cluster daemon. A
-//! single thread multiplexes every connection through a
-//! [`compat_mio::Poll`] selector:
+//! The cluster daemon's transport. A single thread multiplexes every
+//! connection through a [`compat_mio::Poll`] selector:
 //!
 //! - **reads** are frame-at-a-time and nonblocking — each connection owns
 //!   a [`FrameBuffer`] that reassembles fragments, and every frame that
