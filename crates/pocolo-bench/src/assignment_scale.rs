@@ -15,10 +15,13 @@
 //!
 //! Timings are self-measured medians (the vendored criterion shim has no
 //! programmatic median export) and land in `BENCH_assignment.json`, the
-//! repo's first standing perf baseline. The `--smoke` entry point
+//! repo's first standing perf baseline. Warm and incremental samples each
+//! start from a copy of the reference candidate lists; the copy is not
+//! timed, since replans patch their lists in place. The `--smoke` entry point
 //! ([`smoke`]) is the CI gate: it asserts the certified optimality gap
-//! against dense Hungarian and the O(k · dirtied rows) incremental
-//! operation bound, so the gate stays timing-independent.
+//! against dense Hungarian, the O(k · dirtied rows) incremental bidding
+//! bound and the fleet-width-independent certification bound, so the
+//! gate stays timing-independent.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -158,10 +161,21 @@ pub fn synthetic_fleet_matrix(
 
 /// Median wall-clock nanoseconds of `iters` runs of `f`.
 pub fn median_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> u64 {
+    median_ns_with(iters, || (), |()| f())
+}
+
+/// Median wall-clock nanoseconds of `iters` runs of `f`, each on a fresh
+/// value from `setup`, which is not timed.
+pub fn median_ns_with<S, T>(
+    iters: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> u64 {
     let mut samples: Vec<u64> = (0..iters.max(1))
         .map(|_| {
+            let input = setup();
             let start = Instant::now();
-            black_box(f());
+            black_box(f(input));
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
         })
         .collect();
@@ -273,18 +287,24 @@ fn measure_auction(
     let prev = auction::solve_with_candidates(matrix, &mut cands, &cfg).expect("reference solve");
     assert!(prev.certified, "reference solve must certify");
 
-    let warm_ns = median_ns(iters, || {
-        let mut c = cands.clone();
-        auction::solve_warm(matrix, &mut c, &prev.prices, &cfg).expect("warm solve")
-    });
+    // Replans patch the plan's candidate lists in place, so the copy each
+    // sample starts from is not timed.
+    let warm_ns = median_ns_with(
+        iters,
+        || cands.clone(),
+        |mut c| auction::solve_warm(matrix, &mut c, &prev.prices, &cfg).expect("warm solve"),
+    );
     push(format!("auction_warm{suffix}"), warm_ns);
 
     let delta = fault_delta(&prev);
     let patched = matrix.patched(&delta).expect("patched matrix");
-    let inc_ns = median_ns(iters, || {
-        let mut c = cands.clone();
-        auction::solve_incremental(&patched, &mut c, &prev, &delta, &cfg).expect("incremental")
-    });
+    let inc_ns = median_ns_with(
+        iters,
+        || cands.clone(),
+        |mut c| {
+            auction::solve_incremental(&patched, &mut c, &prev, &delta, &cfg).expect("incremental")
+        },
+    );
     push(format!("auction_incremental{suffix}"), inc_ns);
     prev
 }
@@ -348,8 +368,10 @@ pub fn run_standard(iters: usize) -> ScaleReport {
 /// # Panics
 ///
 /// Panics (failing the CI step) if the solve does not certify, the gap
-/// vs. dense Hungarian exceeds ε·rows, or the incremental repair
-/// examines more than O(k · dirtied rows) candidate edges.
+/// vs. dense Hungarian exceeds ε·rows, the incremental repair examines
+/// more than O(k · dirtied rows) candidate edges, or its certification
+/// reads more than O(rows · (rows + prefix width)) entries per sweep or
+/// as many as one dense sweep.
 pub fn smoke() {
     let (be_rows, servers) = (100usize, 1_000usize);
     let cfg = AuctionConfig::with_eps(DEFAULT_EPS);
@@ -389,6 +411,24 @@ pub fn smoke() {
         repaired.stats.dirty_rows
     );
 
+    // Certification is sparse: per sweep and row, the owned columns plus
+    // a walk of the row's ranked prefix (2 · rows wide), independent of
+    // the fleet width. Sweeps are the first plus one per repair round.
+    let rows = be_rows as u64;
+    let sweeps = u64::from(repaired.stats.widen_rounds) + 1;
+    let cert_budget = sweeps * rows * (rows + 2 * rows);
+    let dense_sweep = rows * patched.enabled_cols() as u64;
+    assert!(
+        repaired.stats.cert_edges <= cert_budget,
+        "incremental certification read {} entries, budget {cert_budget} ({sweeps} sweeps)",
+        repaired.stats.cert_edges
+    );
+    assert!(
+        repaired.stats.cert_edges < dense_sweep,
+        "incremental certification read {} entries, not below one dense sweep ({dense_sweep})",
+        repaired.stats.cert_edges
+    );
+
     // Through the dispatcher so the disabled column is projected out.
     let exact_patched = assign::solve(&patched, assign::Solver::Hungarian).expect("exact solve");
     let inc_gap = exact_patched.total - repaired.assignment.total;
@@ -408,6 +448,10 @@ pub fn smoke() {
         repaired.stats.dirty_rows,
         repaired.stats.bid_edges,
         inc.as_millis()
+    );
+    println!(
+        "  certification: cert_edges {} <= {cert_budget} ({sweeps} sweeps), dense sweep {dense_sweep}",
+        repaired.stats.cert_edges
     );
 }
 

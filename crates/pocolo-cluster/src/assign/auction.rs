@@ -31,6 +31,16 @@
 //! re-bid — the exactness escape hatch. A price crossing the feasibility
 //! ceiling means the pruned graph has no perfect matching (e.g. k columns
 //! shared by k+1 rows): the engine widens k and restarts.
+//!
+//! The sweep never reads a whole row. Unowned columns cost zero, so
+//! `π_i = max(max over owned j of (v_ij − p_j), best unowned enabled
+//! v_ij)`: the first term reads the ≤ rows owned columns, the second walks
+//! the row's ranked prefix (enabled columns by value desc, column asc,
+//! 2·rows wide, patched from each delta and refilled only when a walk runs
+//! out of it) to its first unowned column. Each row's `(π_i, column)`,
+//! lowest column on ties, equals the dense sweep's, so a sweep costs
+//! O(rows · (rows + prefix)) whatever the fleet width, and its result is
+//! bit-identical.
 
 use std::collections::VecDeque;
 
@@ -272,30 +282,47 @@ impl<'a> Engine<'a> {
     }
 
     /// Dual sweep: after flooring unassigned-column prices, computes
-    /// `π_i = max_j (v_ij − p_j)` over all enabled columns. Returns the
-    /// dual upper bound and, per row with slack > ε, its best off-profit
-    /// column.
-    fn certify_scan(&mut self) -> (f64, Vec<(usize, usize)>) {
+    /// `π_i = max_j (v_ij − p_j)` over all enabled columns (lowest column
+    /// on ties). Returns the dual upper bound and, per row with slack > ε,
+    /// its best off-profit column.
+    ///
+    /// Every unowned column is priced at zero, so `π_i` is the better of
+    /// the owned columns' profits and the row's best unowned value, which
+    /// the ranked prefix in `cands` yields: O(rows · (rows + prefix)) per
+    /// sweep, independent of the fleet width.
+    fn certify_scan(&mut self, cands: &mut SparseCandidates) -> (f64, Vec<(usize, usize)>) {
         self.floor_unassigned_prices();
-        let mut ub: f64 = self
-            .owner
+        let owned: Vec<usize> = (0..self.owner.len())
+            .filter(|&col| self.owner[col].is_some())
+            .collect();
+        let mut ub: f64 = owned.iter().map(|&col| self.prices[col]).sum();
+        let live: Vec<(usize, f64)> = owned
             .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(col, _)| self.prices[col])
-            .sum();
+            .filter(|&&col| !self.matrix.is_col_disabled(col))
+            .map(|&col| (col, self.prices[col]))
+            .collect();
         let mut violations = Vec::new();
         for row in 0..self.matrix.rows() {
             let values = self.matrix.row(row);
             let mut pi = f64::NEG_INFINITY;
             let mut pi_col = 0;
-            for (col, &v) in values.iter().enumerate() {
-                if self.matrix.is_col_disabled(col) {
-                    continue;
-                }
-                self.stats.cert_edges += 1;
-                let profit = v - self.prices[col];
+            self.stats.cert_edges += live.len() as u64;
+            for &(col, price) in &live {
+                let profit = values[col] - price;
                 if profit > pi {
+                    pi = profit;
+                    pi_col = col;
+                }
+            }
+            let free = cands.ranked.best_unowned(
+                self.matrix,
+                row,
+                &self.owner,
+                &mut self.stats.cert_edges,
+            );
+            if let Some(col) = free {
+                let profit = values[col] - self.prices[col];
+                if profit > pi || (profit == pi && col < pi_col) {
                     pi = profit;
                     pi_col = col;
                 }
@@ -307,6 +334,8 @@ impl<'a> Engine<'a> {
                 violations.push((row, pi_col));
             }
         }
+        #[cfg(test)]
+        tests::assert_matches_dense_sweep(self, ub, &violations);
         (ub, violations)
     }
 
@@ -325,7 +354,7 @@ impl<'a> Engine<'a> {
         let rows = self.matrix.rows() as f64;
         let tol = self.cfg.eps * rows + 1e-9 * (1.0 + self.vmax) * rows;
         for round in 0..=self.cfg.max_widen {
-            let (ub, violations) = self.certify_scan();
+            let (ub, violations) = self.certify_scan(cands);
             if ub - self.total() <= tol {
                 self.certified = true;
                 return Ok(());
@@ -354,7 +383,7 @@ impl<'a> Engine<'a> {
         if self.bid_phase(cands, self.cfg.eps).is_err() {
             return Err(ClusterError::Infeasible);
         }
-        let (ub, _) = self.certify_scan();
+        let (ub, _) = self.certify_scan(cands);
         self.certified = ub - self.total() <= tol;
         Ok(())
     }
@@ -422,7 +451,8 @@ pub fn solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution
 }
 
 /// Cold solve over caller-owned candidate lists (kept for warm-started
-/// and incremental replans later).
+/// and incremental replans later). Their ranked prefixes are rebuilt
+/// for `matrix`.
 ///
 /// # Errors
 ///
@@ -433,6 +463,7 @@ pub fn solve_with_candidates(
     cfg: &AuctionConfig,
 ) -> Result<AuctionSolution, ClusterError> {
     validate(matrix, cfg)?;
+    cands.ranked.invalidate();
     let mut eng = Engine::new(matrix, cfg, vec![0.0; matrix.cols()]);
     eng.run_to_completion(cands)?;
     if cfg.certify {
@@ -443,7 +474,8 @@ pub fn solve_with_candidates(
 
 /// Warm-started solve: a single bidding phase at the final ε from the
 /// given prices (a near-feasible dual from a previous replan), falling
-/// back to the full schedule on pruning infeasibility.
+/// back to the full schedule on pruning infeasibility. The ranked
+/// prefixes of `cands` are rebuilt for `matrix`.
 ///
 /// # Errors
 ///
@@ -463,6 +495,7 @@ pub fn solve_warm(
             matrix.cols()
         )));
     }
+    cands.ranked.invalidate();
     let mut eng = Engine::new(matrix, cfg, prices.to_vec());
     eng.reset_assignment();
     if eng.bid_phase(cands, cfg.eps).is_err() {
@@ -480,10 +513,12 @@ pub fn solve_warm(
 /// only the dirtied rows from the previous prices.
 ///
 /// `matrix` must already be the patched matrix (`old.patched(delta)`) and
-/// `cands` the lists built against the *old* matrix — this function
-/// brings them up to date. Work is O(k · dirtied rows) candidate edges
-/// (plus certification if enabled); `stats.dirty_rows` and
-/// `stats.bid_edges` report the actual counts.
+/// `cands` the lists (and ranked prefixes) last used against the *old*
+/// matrix — this function brings them up to date. Work is O(k · dirtied
+/// rows) candidate edges plus O(rows · (rows + prefix)) per
+/// certification sweep; `stats.dirty_rows`, `stats.bid_edges` and
+/// `stats.cert_edges` report the actual counts. Only the delta's columns
+/// and edit kinds are read: new values come from `matrix`.
 ///
 /// # Errors
 ///
@@ -554,8 +589,67 @@ pub fn solve_incremental(
 mod tests {
     use super::*;
     use crate::assign::{hungarian, solve as dispatch_solve, Solver};
+    use crate::constraints::PlacementConstraints;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Certification sweeps checked against the dense oracle.
+        static ORACLE_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn oracle_checks() -> usize {
+        ORACLE_CHECKS.with(Cell::get)
+    }
+
+    /// The dense certification sweep: `π_i` over every enabled column of
+    /// every row, the first maximum in column order.
+    fn dense_sweep(eng: &Engine) -> (f64, Vec<(usize, usize)>) {
+        let mut ub: f64 = eng
+            .owner
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.is_some())
+            .map(|(col, _)| eng.prices[col])
+            .sum();
+        let mut violations = Vec::new();
+        for row in 0..eng.matrix.rows() {
+            let values = eng.matrix.row(row);
+            let mut pi = f64::NEG_INFINITY;
+            let mut pi_col = 0;
+            for (col, &v) in values.iter().enumerate() {
+                if eng.matrix.is_col_disabled(col) {
+                    continue;
+                }
+                let profit = v - eng.prices[col];
+                if profit > pi {
+                    pi = profit;
+                    pi_col = col;
+                }
+            }
+            ub += pi;
+            let own_col = eng.assigned[row].expect("complete assignment");
+            if pi - (values[own_col] - eng.prices[own_col]) > eng.cfg.eps {
+                violations.push((row, pi_col));
+            }
+        }
+        (ub, violations)
+    }
+
+    /// Run by every `certify_scan` in test builds: the ranked sweep must
+    /// reproduce the dense one bit for bit.
+    pub(super) fn assert_matches_dense_sweep(eng: &Engine, ub: f64, violations: &[(usize, usize)]) {
+        let (dense_ub, dense_violations) = dense_sweep(eng);
+        assert_eq!(
+            ub.to_bits(),
+            dense_ub.to_bits(),
+            "dual bound {ub} vs dense {dense_ub}"
+        );
+        assert_eq!(violations, dense_violations.as_slice());
+        ORACLE_CHECKS.with(|c| c.set(c.get() + 1));
+    }
 
     fn matrix(values: Vec<Vec<f64>>) -> PerfMatrix {
         let rows = values.len();
@@ -737,6 +831,188 @@ mod tests {
         let p = m.patched(&delta).unwrap();
         let sol = solve(&p, &AuctionConfig::default()).unwrap();
         valid(&p, &sol);
+    }
+
+    /// Values for `rows` × `cols`: with `keyed`, every column copies one
+    /// of `profiles` columns of eighths, so profits tie across columns.
+    fn tie_heavy_values(
+        rows: usize,
+        cols: usize,
+        profiles: usize,
+        keyed: bool,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<f64>> {
+        let draw = |rng: &mut StdRng| -> Vec<f64> {
+            (0..rows)
+                .map(|_| {
+                    if keyed {
+                        f64::from(rng.gen_range(0u32..8)) / 8.0
+                    } else {
+                        rng.gen_range(0.0..1.0)
+                    }
+                })
+                .collect()
+        };
+        let shapes: Vec<Vec<f64>> = (0..profiles).map(|_| draw(rng)).collect();
+        let columns: Vec<Vec<f64>> = (0..cols)
+            .map(|_| {
+                if keyed {
+                    shapes[rng.gen_range(0..profiles)].clone()
+                } else {
+                    draw(rng)
+                }
+            })
+            .collect();
+        (0..rows)
+            .map(|r| columns.iter().map(|c| c[r]).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn ranked_certification_matches_the_dense_sweep(
+            rows in 1usize..=6,
+            extra in 1usize..=30,
+            profiles in 1usize..=4,
+            keyed in any::<bool>(),
+            constrained in any::<bool>(),
+            seed in any::<u64>(),
+            steps in 1usize..=40,
+        ) {
+            let cols = rows + extra;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = matrix(tie_heavy_values(rows, cols, profiles, keyed, &mut rng));
+            let k = SparseCandidates::default_k(cols);
+            let mut cands = if constrained {
+                let classes: Vec<usize> = (0..cols).map(|j| j % 3).collect();
+                let rules = PlacementConstraints::new().forbid(0, 1).forbid(rows - 1, 2);
+                SparseCandidates::build_constrained(&m, k, &classes, &rules)
+            } else {
+                SparseCandidates::build(&m, k)
+            };
+            let cfg = AuctionConfig::default();
+            let checks = oracle_checks();
+            let Ok(mut prev) = solve_with_candidates(&m, &mut cands, &cfg) else {
+                return Ok(());
+            };
+            prop_assert!(oracle_checks() > checks, "cold solve certified");
+            for _ in 0..steps {
+                let checks = oracle_checks();
+                let delta = match rng.gen_range(0..4) {
+                    // Fault an occupied server while spares remain.
+                    0 | 1 if m.enabled_cols() > rows => {
+                        let pairs = &prev.assignment.pairs;
+                        MatrixDelta::new().disable_column(pairs[rng.gen_range(0..pairs.len())].1)
+                    }
+                    // Refit or re-enable one column, possibly as a copy
+                    // of another (a keyed peer).
+                    0..=2 => {
+                        let col = rng.gen_range(0..cols);
+                        let src = rng.gen_range(0..cols);
+                        let values = if keyed && !m.is_col_disabled(src) {
+                            m.col_iter(src).collect()
+                        } else {
+                            tie_heavy_values(rows, 1, 1, keyed, &mut rng)
+                                .into_iter()
+                                .map(|r| r[0])
+                                .collect()
+                        };
+                        MatrixDelta::new().set_column(col, values)
+                    }
+                    // A brownout-like delta over several columns.
+                    _ => {
+                        let mut d = MatrixDelta::new();
+                        for col in 0..cols {
+                            if !m.is_col_disabled(col) && rng.gen_bool(0.5) {
+                                let scale = f64::from(rng.gen_range(1u32..=4)) / 4.0;
+                                d = d.set_column(col, m.col_iter(col).map(|v| v * scale).collect());
+                            }
+                        }
+                        d
+                    }
+                };
+                let patched = m.patched(&delta).expect("valid delta");
+                match solve_incremental(&patched, &mut cands, &prev, &delta, &cfg) {
+                    Ok(next) => {
+                        valid(&patched, &next);
+                        prop_assert!(oracle_checks() > checks, "repair certified");
+                        prev = next;
+                        m = patched;
+                    }
+                    // Constraints can leave a row nowhere to go.
+                    Err(_) => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_and_unowned_ties_break_to_the_lowest_column() {
+        // A hand-made previous state with zero prices: row 0 sits on
+        // column 2 and values columns 0 (unowned) and 1 (owned by row 1)
+        // equally, so its best profit ties across the two halves of the
+        // sparse sweep. The dense sweep names column 0.
+        let m = matrix(vec![vec![0.9, 0.9, 0.1], vec![0.2, 0.5, 0.3]]);
+        let mut cands = SparseCandidates::build(&m, 1);
+        let prev = AuctionSolution {
+            assignment: Assignment::new(vec![(0, 2), (1, 1)], 0.6),
+            prices: vec![0.0; 3],
+            eps: DEFAULT_EPS,
+            certified: false,
+            stats: AuctionStats::default(),
+        };
+        let checks = oracle_checks();
+        let cfg = AuctionConfig::default();
+        let sol = solve_incremental(&m, &mut cands, &prev, &MatrixDelta::new(), &cfg).unwrap();
+        valid(&m, &sol);
+        assert!(sol.certified);
+        assert!(oracle_checks() > checks);
+    }
+
+    #[test]
+    fn repair_chains_refill_exhausted_prefixes() {
+        // Three rows keep prefixes 6 wide over 40 columns; thirty faults
+        // of occupied servers wear them out, and every sweep must still
+        // match the dense one.
+        let mut m = random_matrix(3, 40, 17);
+        let cfg = AuctionConfig::default();
+        let mut cands = SparseCandidates::build(&m, SparseCandidates::default_k(40));
+        let mut prev = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
+        let checks = oracle_checks();
+        for step in 0..30 {
+            let victim = prev.assignment.pairs[step % 3].1;
+            let delta = MatrixDelta::new().disable_column(victim);
+            let patched = m.patched(&delta).unwrap();
+            prev = solve_incremental(&patched, &mut cands, &prev, &delta, &cfg).unwrap();
+            valid(&patched, &prev);
+            assert!(prev.certified);
+            m = patched;
+        }
+        assert!(oracle_checks() >= checks + 30);
+        assert!(cands.ranked.refills > 0, "no prefix ran out");
+    }
+
+    #[test]
+    fn single_fault_certification_reads_no_dense_sweep() {
+        // 1000 columns, 20 rows: a repair's sweeps read the owned columns
+        // and a short prefix walk per row, never a whole row.
+        let m = random_matrix(20, 1000, 4);
+        let cfg = AuctionConfig::default();
+        let mut cands = SparseCandidates::build(&m, SparseCandidates::default_k(1000));
+        let prev = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
+        let delta = MatrixDelta::new().disable_column(prev.assignment.pairs[0].1);
+        let patched = m.patched(&delta).unwrap();
+        let inc = solve_incremental(&patched, &mut cands, &prev, &delta, &cfg).unwrap();
+        let sweeps = u64::from(inc.stats.widen_rounds) + 1;
+        let rows = 20u64;
+        assert!(
+            inc.stats.cert_edges <= sweeps * rows * (rows + 2 * rows),
+            "{} cert edges over {sweeps} sweeps",
+            inc.stats.cert_edges
+        );
+        assert!(inc.stats.cert_edges < rows * 999);
     }
 
     #[test]

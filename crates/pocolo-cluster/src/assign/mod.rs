@@ -11,6 +11,7 @@
 pub mod auction;
 pub mod fairness;
 pub mod hungarian;
+mod ranked;
 pub mod search;
 pub mod simplex;
 pub mod sparse;

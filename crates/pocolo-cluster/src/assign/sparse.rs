@@ -17,6 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::assign::ranked::RankedPrefixes;
 use crate::constraints::PlacementConstraints;
 use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
 
@@ -138,6 +139,44 @@ pub struct SparseCandidates {
     /// each column's server class plus the constraint set. `None` for
     /// unconstrained fleets (the legacy path).
     policy: Option<EdgePolicy>,
+    /// Ranked prefixes of every row's enabled columns — the auction's
+    /// certification index, kept in step with the lists' matrix.
+    pub(crate) ranked: RankedPrefixes,
+    /// Pre-checkpoint lists of the rows changed since
+    /// [`SparseCandidates::checkpoint`].
+    journal: Journal,
+}
+
+/// The undo log behind [`SparseCandidates::rollback`]: the first saved
+/// version of each row changed since the checkpoint, copied into one
+/// reused buffer.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    active: bool,
+    k: usize,
+    /// Per row: whether its pre-checkpoint list is saved.
+    saved: Vec<bool>,
+    /// `(row, start, len)` spans of `edges`.
+    spans: Vec<(usize, usize, usize)>,
+    edges: Vec<(usize, f64)>,
+}
+
+impl Journal {
+    /// Saves `list` as `row`'s pre-checkpoint version, once.
+    fn save(&mut self, row: usize, list: &[(usize, f64)]) {
+        if self.active && !self.saved[row] {
+            self.saved[row] = true;
+            self.spans.push((row, self.edges.len(), list.len()));
+            self.edges.extend_from_slice(list);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.active = false;
+        self.saved.clear();
+        self.spans.clear();
+        self.edges.clear();
+    }
 }
 
 /// Per-column class labels + the constraint set they are checked against.
@@ -210,6 +249,8 @@ impl SparseCandidates {
             rows: Vec::with_capacity(matrix.rows()),
             buckets,
             policy,
+            ranked: RankedPrefixes::default(),
+            journal: Journal::default(),
         };
         for row in 0..matrix.rows() {
             let list = cands.build_row(matrix, row);
@@ -296,6 +337,7 @@ impl SparseCandidates {
         }
         self.k = new_k;
         for row in 0..self.rows.len() {
+            self.journal.save(row, &self.rows[row]);
             self.rows[row] = self.build_row(matrix, row);
         }
     }
@@ -311,15 +353,44 @@ impl SparseCandidates {
         if list.iter().any(|&(j, _)| j == col) {
             return;
         }
+        self.journal.save(row, list);
         let at = list.partition_point(|&(_, lv)| lv >= value);
         list.insert(at, (col, value));
+    }
+
+    /// Starts recording changes so [`SparseCandidates::rollback`] can undo
+    /// them. Only rows that change are copied.
+    pub(crate) fn checkpoint(&mut self) {
+        self.journal.clear();
+        self.journal.active = true;
+        self.journal.k = self.k;
+        self.journal.saved.resize(self.rows.len(), false);
+    }
+
+    /// Keeps the changes made since [`SparseCandidates::checkpoint`].
+    pub(crate) fn commit(&mut self) {
+        self.journal.clear();
+    }
+
+    /// Restores the lists and width saved at the last
+    /// [`SparseCandidates::checkpoint`]. The ranked prefixes are a cache
+    /// of the matrix, so they are rebuilt on demand instead of restored.
+    pub(crate) fn rollback(&mut self) {
+        for &(row, start, len) in &self.journal.spans {
+            self.rows[row].clear();
+            self.rows[row].extend_from_slice(&self.journal.edges[start..start + len]);
+        }
+        self.k = self.journal.k;
+        self.journal.clear();
+        self.ranked.invalidate();
     }
 
     /// Applies a [`MatrixDelta`] to the candidate lists of the (already
     /// patched) `matrix`: values of dirtied columns are refreshed in every
     /// list containing them, disabled columns drop out, and a changed
     /// column that now beats a row's worst candidate is inserted. Returns
-    /// the rows whose lists changed — the auction's dirty-row set.
+    /// the rows whose lists changed — the auction's dirty-row set. The
+    /// ranked prefixes follow the same delta.
     ///
     /// Cost is O(rows · (k + |delta|)): each row scans its own short list
     /// plus one comparison per dirtied column — never the full matrix.
@@ -328,22 +399,32 @@ impl SparseCandidates {
         for (col, _) in delta.edits() {
             dirty[*col] = true;
         }
+        // Which edited columns the row being patched lists, so an edit
+        // asks "already listed?" in O(1) instead of scanning the list.
+        let mut listed = vec![false; self.cols];
+        let journal = &mut self.journal;
         let mut touched = Vec::new();
         for (row, list) in self.rows.iter_mut().enumerate() {
             let before = list.len();
             let mut changed = false;
-            list.retain_mut(|(j, v)| {
-                if !dirty[*j] {
-                    return true;
+            for &(j, _) in list.iter() {
+                if dirty[j] {
+                    listed[j] = true;
+                    changed = true;
                 }
-                changed = true;
-                if matrix.is_col_disabled(*j) {
-                    return false;
-                }
-                *v = matrix.value(row, *j);
-                true
-            });
+            }
             if changed {
+                journal.save(row, list);
+                list.retain_mut(|(j, v)| {
+                    if !dirty[*j] {
+                        return true;
+                    }
+                    if matrix.is_col_disabled(*j) {
+                        return false;
+                    }
+                    *v = matrix.value(row, *j);
+                    true
+                });
                 list.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
             }
             // Changed columns absent from the list may now belong in it.
@@ -353,7 +434,8 @@ impl SparseCandidates {
                 f64::NEG_INFINITY
             };
             for (col, edit) in delta.edits() {
-                if matches!(edit, ColumnEdit::Disable) || list.iter().any(|&(j, _)| j == *col) {
+                let was_listed = std::mem::take(&mut listed[*col]);
+                if matches!(edit, ColumnEdit::Disable) || was_listed {
                     continue;
                 }
                 if let Some(p) = &self.policy {
@@ -363,6 +445,7 @@ impl SparseCandidates {
                 }
                 let v = matrix.value(row, *col);
                 if v > floor {
+                    journal.save(row, list);
                     let at = list.partition_point(|&(_, lv)| lv >= v);
                     list.insert(at, (*col, v));
                     changed = true;
@@ -384,8 +467,10 @@ impl SparseCandidates {
             .filter(|&r| self.rows[r].len() < self.k.div_ceil(2).max(1))
             .collect();
         for row in eroded {
+            self.journal.save(row, &self.rows[row]);
             self.rows[row] = self.build_row(matrix, row);
         }
+        self.ranked.apply_delta(matrix, delta);
         touched
     }
 }
@@ -552,6 +637,45 @@ mod tests {
                 touched3.is_empty(),
                 "unlisted, unwanted column: no rows touched"
             );
+        }
+    }
+
+    #[test]
+    fn rollback_restores_lists_and_width() {
+        let m = clustered(6, 30, 3, 8);
+        let mut c = SparseCandidates::build(&m, 4);
+        let before: Vec<Vec<(usize, f64)>> = (0..6).map(|r| c.row(r).to_vec()).collect();
+        c.checkpoint();
+        let delta = MatrixDelta::new()
+            .disable_column(c.row(0)[0].0)
+            .set_column(29, vec![3.0; 6]);
+        let patched = m.patched(&delta).unwrap();
+        assert!(!c.apply_delta(&patched, &delta).is_empty());
+        let missing = (0..30)
+            .find(|&j| !c.row(1).iter().any(|&(cj, _)| cj == j))
+            .unwrap();
+        c.ensure_edge(1, missing, patched.value(1, missing));
+        c.widen(&patched, 8);
+        c.rollback();
+        assert_eq!(c.k(), 4);
+        for (r, list) in before.iter().enumerate() {
+            assert_eq!(c.row(r), list.as_slice(), "row {r}");
+        }
+        // A rollback returns to the last committed state.
+        c.checkpoint();
+        c.widen(&m, 8);
+        c.commit();
+        let committed: Vec<Vec<(usize, f64)>> = (0..6).map(|r| c.row(r).to_vec()).collect();
+        c.checkpoint();
+        let missing = (0..30)
+            .find(|&j| !c.row(2).iter().any(|&(cj, _)| cj == j))
+            .unwrap();
+        c.ensure_edge(2, missing, 9.0);
+        assert_ne!(c.row(2), committed[2].as_slice());
+        c.rollback();
+        assert_eq!(c.k(), 8);
+        for (r, list) in committed.iter().enumerate() {
+            assert_eq!(c.row(r), list.as_slice(), "row {r}");
         }
     }
 

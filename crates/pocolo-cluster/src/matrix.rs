@@ -21,6 +21,14 @@ pub struct PerfMatrix {
     /// `disabled[j]` — column `j` is out of the fleet. Empty ⇔ all enabled
     /// (the common case pays no memory).
     disabled: Vec<bool>,
+    /// `col_max[j]` — the largest entry of column `j` (0.0 floor), kept
+    /// exact through patches so [`PerfMatrix::max_value`] is O(cols).
+    col_max: Vec<f64>,
+}
+
+/// The largest of `values`, with a 0.0 floor.
+fn column_max(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0, |best, v| if v > best { v } else { best })
 }
 
 impl PerfMatrix {
@@ -61,11 +69,15 @@ impl PerfMatrix {
                 }
             }
         }
+        let col_max = (0..col_labels.len())
+            .map(|j| column_max(values.iter().map(|row| row[j])))
+            .collect();
         Ok(PerfMatrix {
             row_labels,
             col_labels,
             values,
             disabled: Vec::new(),
+            col_max,
         })
     }
 
@@ -124,17 +136,16 @@ impl PerfMatrix {
     }
 
     /// The largest entry over enabled columns (0.0 if everything is
-    /// disabled) — the auction's ε-scaling schedule starts here.
+    /// disabled) — the auction's ε-scaling schedule starts here. O(cols):
+    /// a max of the per-column maxima, which is exact.
     pub fn max_value(&self) -> f64 {
-        let mut best = 0.0f64;
-        for row in &self.values {
-            for (j, &v) in row.iter().enumerate() {
-                if !self.is_col_disabled(j) && v > best {
-                    best = v;
-                }
-            }
-        }
-        best
+        column_max(
+            self.col_max
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| !self.is_col_disabled(j))
+                .map(|(_, &m)| m),
+        )
     }
 
     /// The raw row-major values.
@@ -166,48 +177,100 @@ impl PerfMatrix {
     /// non-finite or negative replacement values.
     pub fn patched(&self, delta: &MatrixDelta) -> Result<PerfMatrix, ClusterError> {
         let mut out = self.clone();
+        out.patch(&mut delta.clone())?;
+        Ok(out)
+    }
+
+    /// [`PerfMatrix::patched`] in place, in O(rows × edited columns). The
+    /// whole delta is validated before anything is written, so on error
+    /// the matrix is unchanged. Each `Set` edit swaps its values with the
+    /// column's, so afterwards `delta` holds the replaced values: it and
+    /// the returned undo are what [`PerfMatrix::restore`] needs to revert
+    /// the patch.
+    pub(crate) fn patch(&mut self, delta: &mut MatrixDelta) -> Result<MatrixUndo, ClusterError> {
         for (col, edit) in &delta.edits {
-            if *col >= out.cols() {
+            if *col >= self.cols() {
                 return Err(ClusterError::InvalidMatrix(format!(
                     "delta column {col} out of range ({} cols)",
-                    out.cols()
+                    self.cols()
                 )));
             }
-            match edit {
-                ColumnEdit::Set(values) => {
-                    if values.len() != out.rows() {
-                        return Err(ClusterError::InvalidMatrix(format!(
-                            "delta column {col} has {} entries, matrix has {} rows",
-                            values.len(),
-                            out.rows()
-                        )));
-                    }
-                    for &v in values {
-                        if !v.is_finite() || v < 0.0 {
-                            return Err(ClusterError::InvalidMatrix(format!(
-                                "delta throughput {v} must be finite and non-negative"
-                            )));
-                        }
-                    }
-                    for (row, &v) in out.values.iter_mut().zip(values) {
-                        row[*col] = v;
-                    }
-                    if !out.disabled.is_empty() {
-                        out.disabled[*col] = false;
-                    }
+            if let ColumnEdit::Set(values) = edit {
+                if values.len() != self.rows() {
+                    return Err(ClusterError::InvalidMatrix(format!(
+                        "delta column {col} has {} entries, matrix has {} rows",
+                        values.len(),
+                        self.rows()
+                    )));
                 }
-                ColumnEdit::Disable => {
-                    if out.disabled.is_empty() {
-                        out.disabled = vec![false; out.cols()];
-                    }
-                    out.disabled[*col] = true;
-                    for row in &mut out.values {
-                        row[*col] = 0.0;
-                    }
+                if let Some(v) = values.iter().find(|v| !v.is_finite() || **v < 0.0) {
+                    return Err(ClusterError::InvalidMatrix(format!(
+                        "delta throughput {v} must be finite and non-negative"
+                    )));
                 }
             }
         }
-        Ok(out)
+        let mut undo = MatrixUndo {
+            cols: Vec::with_capacity(delta.len()),
+            disabled_values: Vec::new(),
+            all_enabled: self.disabled.is_empty(),
+        };
+        for (col, edit) in &mut delta.edits {
+            let col = *col;
+            undo.cols
+                .push((col, self.col_max[col], self.is_col_disabled(col)));
+            match edit {
+                ColumnEdit::Set(values) => {
+                    self.col_max[col] = column_max(values.iter().copied());
+                    for (row, v) in self.values.iter_mut().zip(values.iter_mut()) {
+                        std::mem::swap(&mut row[col], v);
+                    }
+                    if !self.disabled.is_empty() {
+                        self.disabled[col] = false;
+                    }
+                }
+                ColumnEdit::Disable => {
+                    if self.disabled.is_empty() {
+                        self.disabled = vec![false; self.cols()];
+                    }
+                    self.disabled[col] = true;
+                    for row in &mut self.values {
+                        undo.disabled_values.push(row[col]);
+                        row[col] = 0.0;
+                    }
+                    self.col_max[col] = 0.0;
+                }
+            }
+        }
+        Ok(undo)
+    }
+
+    /// Reverts a [`PerfMatrix::patch`] bit for bit, given the delta it
+    /// swapped values into and the undo it returned.
+    pub(crate) fn restore(&mut self, delta: &mut MatrixDelta, undo: MatrixUndo) {
+        let mut disabled_values = undo.disabled_values.chunks(self.rows());
+        for ((_, edit), &(col, max, disabled)) in delta.edits.iter_mut().zip(&undo.cols) {
+            match edit {
+                ColumnEdit::Set(values) => {
+                    for (row, v) in self.values.iter_mut().zip(values.iter_mut()) {
+                        std::mem::swap(&mut row[col], v);
+                    }
+                }
+                ColumnEdit::Disable => {
+                    let old = disabled_values.next().expect("one undo column per disable");
+                    for (row, &v) in self.values.iter_mut().zip(old) {
+                        row[col] = v;
+                    }
+                }
+            }
+            self.col_max[col] = max;
+            if let Some(d) = self.disabled.get_mut(col) {
+                *d = disabled;
+            }
+        }
+        if undo.all_enabled {
+            self.disabled = Vec::new();
+        }
     }
 
     /// Projects out disabled columns: returns the compacted matrix and the
@@ -242,6 +305,18 @@ impl PerfMatrix {
         )?;
         Ok(Some((compact, keep)))
     }
+}
+
+/// What a [`PerfMatrix::patch`] overwrote besides the values it swapped
+/// into the delta.
+#[derive(Debug)]
+pub(crate) struct MatrixUndo {
+    /// `(col, old column max, was disabled)` per edit.
+    cols: Vec<(usize, f64, bool)>,
+    /// The old values of the disabled columns, one column after another.
+    disabled_values: Vec<f64>,
+    /// Whether no column was disabled before the patch.
+    all_enabled: bool,
 }
 
 /// One column's worth of change in a [`MatrixDelta`].
@@ -456,6 +531,50 @@ mod tests {
         assert!(m
             .patched(&MatrixDelta::new().set_column(0, vec![1.0, f64::NAN]))
             .is_err());
+    }
+
+    #[test]
+    fn in_place_patch_restores_bit_for_bit() {
+        let m = matrix3();
+        let mut p = m.clone();
+        let original = MatrixDelta::new()
+            .set_column(0, vec![1.0, -0.0])
+            .disable_column(2);
+        let mut delta = original.clone();
+        let undo = p.patch(&mut delta).unwrap();
+        assert_eq!(p, m.patched(&original).unwrap());
+        assert_eq!(p.max_value(), 1.0);
+        p.restore(&mut delta, undo);
+        assert_eq!(p, m);
+        assert!(p.disabled.is_empty(), "all-enabled representation restored");
+        assert_eq!(delta, original, "the delta gets its values back");
+        // A later invalid edit rejects the whole delta before any write.
+        let mut bad = MatrixDelta::new()
+            .disable_column(0)
+            .set_column(1, vec![0.5, f64::INFINITY]);
+        assert!(p.patch(&mut bad).is_err());
+        assert_eq!(p, m);
+    }
+
+    #[test]
+    fn max_value_follows_patches() {
+        let m = matrix3();
+        let brute = |m: &PerfMatrix| {
+            (0..m.cols())
+                .filter(|&j| !m.is_col_disabled(j))
+                .flat_map(|j| m.col_iter(j))
+                .fold(0.0, f64::max)
+        };
+        let mut p = m.clone();
+        for delta in [
+            MatrixDelta::new().disable_column(2),
+            MatrixDelta::new().set_column(1, vec![0.05, 0.9]),
+            MatrixDelta::new().set_column(2, vec![7.0, 0.0]),
+            MatrixDelta::new().disable_column(2).disable_column(1),
+        ] {
+            p = p.patched(&delta).unwrap();
+            assert_eq!(p.max_value().to_bits(), brute(&p).to_bits());
+        }
     }
 
     #[test]

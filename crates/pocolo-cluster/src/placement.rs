@@ -81,6 +81,9 @@ impl PlacementPlan {
     /// the migration intents: pairs of the new placement not already in
     /// the old one.
     ///
+    /// The matrix and candidate lists are patched in place, in time
+    /// proportional to the delta; a failed repair undoes both.
+    ///
     /// # Errors
     ///
     /// Propagates patching and solver failures; on error the plan is
@@ -89,15 +92,35 @@ impl PlacementPlan {
         &mut self,
         delta: &MatrixDelta,
     ) -> Result<Vec<(usize, usize)>, ClusterError> {
-        let patched = self.matrix.patched(delta)?;
+        self.repair(delta.clone())
+    }
+
+    /// [`PlacementPlan::apply_delta`] on an owned delta, which doubles as
+    /// the undo buffer: the in-place patch swaps the replaced values into
+    /// it, and the solver reads only its columns and edit kinds.
+    fn repair(&mut self, mut delta: MatrixDelta) -> Result<Vec<(usize, usize)>, ClusterError> {
+        let undo = self.matrix.patch(&mut delta)?;
         let cfg = AuctionConfig::with_eps(self.eps);
-        let mut cands = self.cands.clone();
-        let next = auction::solve_incremental(&patched, &mut cands, &self.solution, delta, &cfg)?;
-        let intents = migration_diff(&self.solution.assignment, &next.assignment);
-        self.matrix = patched;
-        self.cands = cands;
-        self.solution = next;
-        Ok(intents)
+        self.cands.checkpoint();
+        match auction::solve_incremental(
+            &self.matrix,
+            &mut self.cands,
+            &self.solution,
+            &delta,
+            &cfg,
+        ) {
+            Ok(next) => {
+                self.cands.commit();
+                let intents = migration_diff(&self.solution.assignment, &next.assignment);
+                self.solution = next;
+                Ok(intents)
+            }
+            Err(e) => {
+                self.cands.rollback();
+                self.matrix.restore(&mut delta, undo);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -534,7 +557,7 @@ impl ClusterManager {
         for &col in faulted_cols {
             delta = delta.disable_column(col);
         }
-        plan.apply_delta(&delta)
+        plan.repair(delta)
     }
 
     /// Incremental counterpart of [`ClusterManager::replan_under_budget`]:
@@ -575,7 +598,7 @@ impl ClusterManager {
         let all_cols: Vec<usize> = (0..plan.matrix.cols()).collect();
         let delta = self.rebuild_delta(&shrunk, &all_cols, &plan.matrix)?;
         let incumbent = plan.solution.assignment.clone();
-        let intents = plan.apply_delta(&delta)?;
+        let intents = plan.repair(delta)?;
         let incumbent_total = plan.matrix.assignment_value(&incumbent.pairs);
         if plan.solution.assignment.total > incumbent_total * (1.0 + hysteresis) {
             Ok(intents)
@@ -632,9 +655,13 @@ impl ClusterManager {
         if let Some(keys) = &mut self.profile_keys {
             keys[col] = unused_key(keys);
         }
-        let scaled = self.scaled_servers(|_| cap_factor);
-        let delta = self.rebuild_delta(&scaled, &[col], &plan.matrix)?;
-        plan.apply_delta(&delta)
+        // The rebuild reads only the listed column's profile, so only that
+        // cap is scaled, and put back before anything can fail.
+        let provisioned = self.servers[col].power_cap;
+        self.servers[col].power_cap = provisioned * cap_factor;
+        let delta = self.rebuild_delta(&self.servers, &[col], &plan.matrix);
+        self.servers[col].power_cap = provisioned;
+        plan.repair(delta?)
     }
 }
 
@@ -866,6 +893,43 @@ mod tests {
         assert!(intents.iter().any(|&(r, _)| r == 0), "intents: {intents:?}");
         // The repair touched only the dirtied rows.
         assert!(plan3.solution().stats.dirty_rows <= 3);
+    }
+
+    #[test]
+    fn failed_repair_leaves_the_plan_unchanged() {
+        // Rows 0 and 1 must sit on class-1 servers (columns 2 and 3).
+        // Losing one of them passes every up-front check but leaves the
+        // solver no admissible matching, after it has patched the matrix
+        // and candidate lists.
+        let mgr = manager();
+        let small = ClusterManager {
+            be_apps: mgr.be_apps()[..3].to_vec(),
+            ..mgr
+        }
+        .with_constraints(
+            vec![0, 0, 1, 1],
+            PlacementConstraints::new().require(0, 1).require(1, 1),
+        );
+        let mut plan = small.plan_sparse(1e-3).unwrap();
+        let pristine = plan.clone();
+        let err = small.replan_after_faults(&mut plan, &[2]).unwrap_err();
+        assert_eq!(err, ClusterError::Infeasible);
+        assert_eq!(plan.matrix(), pristine.matrix());
+        assert_eq!(plan.solution(), pristine.solution());
+        assert_eq!(plan.cands.k(), pristine.cands.k());
+        for row in 0..3 {
+            assert_eq!(plan.cands.row(row), pristine.cands.row(row));
+        }
+        // The restored plan repairs the next fault exactly like one that
+        // never saw the failure.
+        let mut untouched = pristine;
+        let col = plan.assignment().server_for(2).unwrap();
+        let a = small.replan_after_faults(&mut plan, &[col]).unwrap();
+        let b = small.replan_after_faults(&mut untouched, &[col]).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(plan.assignment(), untouched.assignment());
+        assert_eq!(plan.prices(), untouched.prices());
+        assert_eq!(plan.matrix(), untouched.matrix());
     }
 
     #[test]
